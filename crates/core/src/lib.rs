@@ -89,8 +89,8 @@ pub mod prelude {
     pub use crate::rand_seed;
     pub use crate::report::{geomean, NetworkReport, RunReport, SweepReport};
     pub use crate::session::{
-        figure13_engines, figure13_sparsities, quick_factor, Fidelity, Preflight, ProgressFn,
-        Session, Sweep,
+        figure13_engines, figure13_sparsities, quick_factor, shard_plan, shared_host_exec,
+        Fidelity, Preflight, ProgressFn, Session, Sweep,
     };
     pub use vegeta_engine::{CostModel, EngineConfig, EngineTimer};
     pub use vegeta_isa::{Executor, Inst, Memory, TReg, UReg, VReg};

@@ -40,7 +40,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vegeta_engine::EngineConfig;
 use vegeta_isa::trace::Trace;
-use vegeta_kernels::{EngineKernelExt, Kernel, KernelOptions, KernelSpec, SparseMode, TraceCache};
+use vegeta_kernels::{
+    EngineKernelExt, Kernel, KernelOptions, KernelSpec, ShardStream, SparseMode, TraceCache,
+};
 use vegeta_sim::{CoreSim, ExecMode, MultiCoreConfig, MultiCoreSim, SchedulerPolicy, SimConfig};
 use vegeta_sparse::{prune, transform, FormatSpec, NmRatio};
 use vegeta_workloads::Layer;
@@ -382,6 +384,36 @@ fn run_cell(
     CellOutcome::from(res).report(engine, sim, workload, sparsity, fidelity, shape, spec)
 }
 
+/// The shard streams `spec` at `shape` runs as on `cores` cores under
+/// `policy`: one M-row stream per core ([`KernelSpec::shard_streams`])
+/// under [`SchedulerPolicy::Static`], the 2D/K-split shard set
+/// ([`KernelSpec::shard_set`]) and its post-barrier reduction under
+/// [`SchedulerPolicy::Lpt`].
+pub fn shard_plan(
+    spec: &KernelSpec,
+    shape: GemmShape,
+    cores: usize,
+    policy: SchedulerPolicy,
+) -> (Vec<ShardStream>, Option<ShardStream>) {
+    match policy {
+        SchedulerPolicy::Static => (spec.shard_streams(shape, cores), None),
+        SchedulerPolicy::Lpt => {
+            let set = spec.shard_set(shape, cores);
+            (set.shards, set.reduction)
+        }
+    }
+}
+
+/// The host-thread budget of one multi-core run while `concurrent` runs
+/// share the host (a sweep's cell pool, a serving pool's workers):
+/// `available_parallelism / concurrent` threads, at least one, so the two
+/// levels of fan-out never oversubscribe the host. Results do not depend
+/// on it.
+pub fn shared_host_exec(concurrent: usize) -> ExecMode {
+    let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    ExecMode::ParallelHost((avail / concurrent.max(1)).max(1))
+}
+
 /// Simulates one `(engine, shape, spec)` cell sharded across `cores` cores
 /// of a [`MultiCoreSim`]. Under [`SchedulerPolicy::Static`] the kernel is
 /// split 1D by M-tile rows ([`KernelSpec::shard_streams`]), one stream per
@@ -412,13 +444,7 @@ fn run_cell_cores(
     // Memoize the unsharded generator summary so sweeps account trace
     // construction identically whichever axis ran first.
     cache.summary(shape, spec);
-    let (shards, reduction) = match policy {
-        SchedulerPolicy::Static => (spec.shard_streams(shape, cores), None),
-        SchedulerPolicy::Lpt => {
-            let set = spec.shard_set(shape, cores);
-            (set.shards, set.reduction)
-        }
-    };
+    let (shards, reduction) = shard_plan(spec, shape, cores, policy);
     let mut sim_mc = MultiCoreSim::new(
         MultiCoreConfig::with_core(sim.clone(), cores).with_exec(exec),
         engine.clone(),
@@ -1161,12 +1187,7 @@ impl Sweep {
             }
         }
         let threads = self.resolved_threads();
-        // Host-thread budget for each cell's multi-core replay: the grid's
-        // cell-level pool and the per-cell parallel simulation share one
-        // machine, so each cell gets `available / threads` host threads
-        // (at least one) and the grid never oversubscribes the host.
-        let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let cell_exec = ExecMode::ParallelHost((avail / threads).max(1));
+        let cell_exec = shared_host_exec(threads);
         let hits_before = self.cache.hits();
         let misses_before = self.cache.misses();
 

@@ -109,25 +109,9 @@ fn decode_bt(bt: &TileView<'_>, cols: usize, out: &mut [f32]) {
 /// Every lane is an independent multiply followed by an add (exactly
 /// [`vegeta_num::mac_bf16`] on predecoded FP32 — never a fused `mul_add`,
 /// which would round differently), so any lane-parallel evaluation is bit-identical to
-/// the scalar loop. The `simd` feature selects an explicitly widened
-/// 8-lane-blocked form (the SP1-style opt-in backend); the default relies
-/// on the autovectorizer.
+/// the scalar loop, and the autovectorizer is free to widen it.
 #[inline]
 fn axpy_row16(acc: &mut [f32; 16], a: f32, b: &[f32; 16]) {
-    #[cfg(feature = "simd")]
-    {
-        let mut half = [0.0f32; 8];
-        for o in [0usize, 8] {
-            half.copy_from_slice(&b[o..o + 8]);
-            for lane in &mut half {
-                *lane *= a;
-            }
-            for (c, &h) in acc[o..o + 8].iter_mut().zip(half.iter()) {
-                *c += h;
-            }
-        }
-    }
-    #[cfg(not(feature = "simd"))]
     for (c, &bv) in acc.iter_mut().zip(b.iter()) {
         *c += a * bv;
     }

@@ -17,9 +17,7 @@
 //!   describes its trace as a sequence of bounded *blocks* (one tile-loop
 //!   cell each); `ChunkedStream` re-emits one block at a time into a small
 //!   reusable buffer, so peak residency is the largest block, not the
-//!   whole trace. [`ChunkedStream::with_chunk_ops`] opts into *coalesced*
-//!   refills (several blocks per refill) when throughput matters more
-//!   than the residency bound; op order is identical either way.
+//!   whole trace.
 //!
 //! `vegeta-kernels` implements [`BlockEmitter`] for every kernel family and
 //! `vegeta-sim::CoreSim` consumes any [`InstStream`] chunk-wise;
@@ -402,33 +400,11 @@ pub struct ChunkedStream<E> {
     pos: usize,
     remaining: u64,
     peak_resident: usize,
-    /// Minimum buffered ops per refill: 1 for the canonical one-block-at-a-
-    /// time stream, larger for opt-in coalesced refills.
-    chunk_ops: u64,
 }
 
 impl<E: BlockEmitter> ChunkedStream<E> {
     /// Wraps an emitter, computing the exact total length up front.
     pub fn new(emitter: E) -> Self {
-        ChunkedStream::with_chunk_ops(emitter, 1)
-    }
-
-    /// Wraps an emitter with **coalesced refills**: each refill emits
-    /// consecutive blocks until at least `chunk_ops` ops are buffered (or
-    /// the trace ends), instead of stopping at the first non-empty block.
-    ///
-    /// Coalescing amortizes per-refill overhead when blocks are tiny (the
-    /// vector baseline's microkernel cells are a few ops each) at the price
-    /// of residency: peak buffered bytes track `chunk_ops` plus one block
-    /// of overshoot rather than the largest single block. It is therefore
-    /// strictly opt-in — [`ChunkedStream::new`] keeps the one-block refill
-    /// whose residency accounting the simulator's `peak_resident_bytes`
-    /// reports — and changes only *when* ops are buffered, never which ops
-    /// are delivered or in what order.
-    ///
-    /// `chunk_ops` is clamped to at least 1; `with_chunk_ops(e, 1)` is
-    /// exactly `new(e)`.
-    pub fn with_chunk_ops(emitter: E, chunk_ops: u64) -> Self {
         let remaining = (0..emitter.blocks()).map(|b| emitter.block_ops(b)).sum();
         ChunkedStream {
             emitter,
@@ -437,14 +413,7 @@ impl<E: BlockEmitter> ChunkedStream<E> {
             pos: 0,
             remaining,
             peak_resident: 0,
-            chunk_ops: chunk_ops.max(1),
         }
-    }
-
-    /// The refill target: minimum ops buffered per refill (1 unless the
-    /// stream was built with [`ChunkedStream::with_chunk_ops`]).
-    pub fn chunk_ops(&self) -> u64 {
-        self.chunk_ops
     }
 
     /// The largest single-block op count — the stream's chunk size, and the
@@ -465,12 +434,11 @@ impl<E: BlockEmitter> ChunkedStream<E> {
     fn refill(&mut self) -> bool {
         self.buf.clear();
         self.pos = 0;
-        while (self.buf.len() as u64) < self.chunk_ops && self.next_block < self.emitter.blocks() {
+        while self.buf.is_empty() && self.next_block < self.emitter.blocks() {
             let block = self.next_block;
-            let before = self.buf.len();
             self.emitter.emit_block(block, &mut self.buf);
             debug_assert_eq!(
-                (self.buf.len() - before) as u64,
+                self.buf.len() as u64,
                 self.emitter.block_ops(block),
                 "emitter block {block} length disagrees with its declared count"
             );
@@ -586,55 +554,6 @@ mod tests {
         let mut s = ChunkedStream::new(Ramp { n: 0 });
         assert_eq!(s.remaining(), 0);
         assert_eq!(s.next_op(), None);
-    }
-
-    #[test]
-    fn coalesced_refills_deliver_the_identical_op_sequence() {
-        let reference = ChunkedStream::new(Ramp { n: 17 }).collect_trace();
-        for chunk_ops in [0u64, 1, 2, 7, 64, u64::MAX] {
-            let mut s = ChunkedStream::with_chunk_ops(Ramp { n: 17 }, chunk_ops);
-            assert_eq!(s.chunk_ops(), chunk_ops.max(1));
-            assert_eq!(s.remaining(), reference.len() as u64);
-            assert_eq!(s.collect_trace(), reference, "chunk_ops {chunk_ops}");
-            assert_eq!(s.next_op(), None);
-        }
-    }
-
-    #[test]
-    fn chunk_ops_one_is_exactly_the_default_stream() {
-        // The opt-out case must preserve the canonical stream's residency
-        // accounting byte for byte (buffer growth included): simulators
-        // report peak_resident_bytes from it.
-        let mut default = ChunkedStream::new(Ramp { n: 23 });
-        let mut unit = ChunkedStream::with_chunk_ops(Ramp { n: 23 }, 1);
-        loop {
-            assert_eq!(default.resident_bytes(), unit.resident_bytes());
-            assert_eq!(default.peak_resident_bytes(), unit.peak_resident_bytes());
-            let (a, b) = (default.next_op(), unit.next_op());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn coalesced_residency_tracks_the_chunk_target() {
-        // 64 ramp blocks: largest block is 64 ops. A 256-op chunk target
-        // buffers several blocks at once, so peak residency must exceed the
-        // one-block stream's, while staying near target + one block of
-        // overshoot (plus Vec doubling slack).
-        let mut one = ChunkedStream::new(Ramp { n: 64 });
-        while one.next_op().is_some() {}
-        let mut big = ChunkedStream::with_chunk_ops(Ramp { n: 64 }, 256);
-        while big.next_op().is_some() {}
-        assert!(big.peak_resident_bytes() > one.peak_resident_bytes());
-        let bound = (2 * (256 + 64)) * TRACE_OP_BYTES + big.emitter().state_bytes();
-        assert!(
-            big.peak_resident_bytes() <= bound,
-            "peak {} exceeds coalescing bound {bound}",
-            big.peak_resident_bytes()
-        );
     }
 
     #[test]

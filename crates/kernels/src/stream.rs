@@ -233,17 +233,6 @@ impl KernelEmitter {
         ChunkedStream::new(self)
     }
 
-    /// Wraps the generator in a stream with coalesced refills: each refill
-    /// buffers at least `chunk_ops` ops (several tile-loop cells at once)
-    /// instead of exactly one block. Op order and count are identical to
-    /// [`KernelEmitter::stream`]; only residency differs — peak buffered
-    /// bytes track the chunk target instead of the largest cell — so this
-    /// is for throughput harnesses that replay the same kernel many times,
-    /// not for the memory-bounded full-scale replays.
-    pub fn stream_coalesced(self, chunk_ops: u64) -> KernelStream {
-        ChunkedStream::with_chunk_ops(self, chunk_ops)
-    }
-
     /// The emitter's `(outer M-row units, blocks per unit)` decomposition:
     /// every kernel family orders its blocks outer-unit-major, where an
     /// outer unit covers a contiguous range of `A`/`C` row tiles
@@ -679,23 +668,6 @@ mod tests {
             vec_stream.remaining(),
             crate::vector::build_vector_gemm_trace(shape).len() as u64
         );
-    }
-
-    #[test]
-    fn coalesced_kernel_stream_is_trace_identical_to_the_default() {
-        let shape = GemmShape::new(64, 48, 260);
-        for (i, emitter) in [
-            KernelEmitter::tiled(shape, SparseMode::Nm2of4, KernelOptions::default()),
-            KernelEmitter::vector(shape),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let whole = emitter.clone().stream().collect_trace();
-            let mut coalesced = emitter.stream_coalesced(4096);
-            assert_eq!(coalesced.remaining(), whole.len() as u64, "emitter {i}");
-            assert_eq!(coalesced.collect_trace(), whole, "emitter {i}");
-        }
     }
 
     #[test]

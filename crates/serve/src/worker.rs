@@ -121,23 +121,12 @@ impl WorkerPool {
         } else {
             // Account the generator summary exactly as Session sweeps do.
             self.cache.summary(key.shape, &key.spec);
-            let (shards, reduction) = match self.scheduler {
-                SchedulerPolicy::Static => (key.spec.shard_streams(key.shape, self.cores), None),
-                SchedulerPolicy::Lpt => {
-                    let set = key.spec.shard_set(key.shape, self.cores);
-                    (set.shards, set.reduction)
-                }
-            };
-            // Each worker's share of the host: phase-1 fan-out already
-            // occupies `threads` host threads, so the per-key multi-core
-            // replay gets the leftover budget (at least one). Results are
-            // host-thread-independent either way — ParallelHost replays
-            // the shared-L2 log deterministically.
-            let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-            let host_budget = (avail / self.threads).max(1);
+            let (shards, reduction) = shard_plan(&key.spec, key.shape, self.cores, self.scheduler);
+            // Phase-1 fan-out already occupies `threads` host threads, so
+            // the per-key multi-core replay gets its share of the rest.
             let mut mc = MultiCoreSim::new(
                 MultiCoreConfig::with_core(self.sim.clone(), self.cores)
-                    .with_exec(ExecMode::ParallelHost(host_budget)),
+                    .with_exec(shared_host_exec(self.threads)),
                 self.engine.clone(),
             );
             let res = mc.run_sharded(shards, reduction, self.scheduler);

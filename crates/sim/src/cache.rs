@@ -101,16 +101,43 @@ impl SharedL2Stats {
     }
 }
 
-/// One time-stamped shared-L2 lookup recorded by a log-sink L2
-/// ([`SharedL2::log_sink`]) during a host-parallel main phase, replayed
-/// later on the real L2 in exact global `(time, core)` order.
+/// Low bits of a packed ownership key holding the core id; the bits above
+/// hold a core-clock stamp. Comparing packed keys as integers orders them
+/// by `(stamp, core)`, the order the sequential event merge delivers
+/// accesses in.
+pub(crate) const OWNER_CORE_BITS: u32 = 16;
+
+/// Packs `(stamp, core)` into one ownership key.
+///
+/// # Panics
+///
+/// Panics when `core` needs more than [`OWNER_CORE_BITS`] bits or `stamp`
+/// more than the remaining 48: a silent wrap would misattribute ownership.
+pub(crate) fn owner_key(stamp: u64, core: usize) -> u64 {
+    assert!(
+        core < 1 << OWNER_CORE_BITS,
+        "shared-L2 core id {core} exceeds {OWNER_CORE_BITS} bits"
+    );
+    assert!(
+        stamp < 1 << (u64::BITS - OWNER_CORE_BITS),
+        "core clock {stamp} exceeds the packed stamp field"
+    );
+    stamp << OWNER_CORE_BITS | core as u64
+}
+
+/// The core id of a packed ownership key.
+fn owner_core(key: u64) -> u64 {
+    key & ((1 << OWNER_CORE_BITS) - 1)
+}
+
+/// One shared-L2 lookup recorded by a log-sink L2 ([`SharedL2::log_sink`])
+/// during a host-parallel main phase, folded later into the real L2 by
+/// [`SharedL2::fold_log`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct L2LogEntry {
-    /// The accessing core's pipeline clock when the instruction making
-    /// this access was woken (nondecreasing within one worker's log).
-    pub time: u64,
-    /// The accessing core's id (what [`SharedL2::access_line`] was handed).
-    pub core: u32,
+    /// [`owner_key`] of the accessing core's clock before the step that
+    /// made this access and the core's id.
+    pub key: u64,
     /// The line address the L1 missed on.
     pub line: u64,
 }
@@ -243,12 +270,17 @@ pub struct SharedL2 {
     miss_latency: u64,
     prefetched: bool,
     lines: LruTable,
-    /// Per-slot first-toucher core (sharing attribution), parallel to the
-    /// recency table's slots.
-    owners: Vec<usize>,
+    /// Per-slot first toucher (sharing attribution), parallel to the
+    /// recency table's slots: an [`owner_key`] whose stamp only matters to
+    /// [`SharedL2::fold_log`].
+    owners: Vec<u64>,
+    /// Per-slot accesses by the owning core while one run's logs are
+    /// folded ([`SharedL2::fold_log`]); meaningful only for lines that run
+    /// added.
+    owner_hits: Vec<u32>,
     stats: SharedL2Stats,
     /// Log-sink mode ([`SharedL2::log_sink`]): record accesses instead of
-    /// tracking residency, for deferred replay on the real L2.
+    /// tracking residency, for a later fold into the real L2.
     logging: bool,
     log: Vec<L2LogEntry>,
     log_stamp: u64,
@@ -266,6 +298,7 @@ impl SharedL2 {
             prefetched: false,
             lines: LruTable::new(),
             owners: Vec::new(),
+            owner_hits: Vec::new(),
             stats: SharedL2Stats::default(),
             logging: false,
             log: Vec::new(),
@@ -282,9 +315,8 @@ impl SharedL2 {
     /// This is what makes the host-parallel multi-core mode sound: under
     /// the §VI-B prefetch assumption the latency a core observes is a
     /// constant, so cores can be simulated on separate host threads
-    /// against private log sinks, and the real L2's state evolution is
-    /// reconstructed afterwards by replaying the merged logs in global
-    /// `(time, core)` order (see `multicore.rs`).
+    /// against private log sinks, and the real L2's ownership is
+    /// reconstructed afterwards by [`SharedL2::fold_log`].
     pub(crate) fn log_sink(hit_latency: u64) -> Self {
         let mut l2 = SharedL2::new(1, hit_latency, hit_latency).with_prefetched(true);
         l2.logging = true;
@@ -292,8 +324,8 @@ impl SharedL2 {
     }
 
     /// Sets the timestamp recorded on subsequently logged accesses (the
-    /// owning core's clock at the wake that issued them). Log-sink mode
-    /// only; a no-op otherwise.
+    /// issuing core's clock before the step that makes them). Log-sink
+    /// mode only; a no-op otherwise.
     pub(crate) fn set_log_stamp(&mut self, time: u64) {
         self.log_stamp = time;
     }
@@ -327,21 +359,32 @@ impl SharedL2 {
         self.stats
     }
 
+    /// Resident lines.
+    pub(crate) fn resident_lines(&self) -> usize {
+        self.lines.len()
+    }
+
     /// Looks up one line on behalf of `core`, updating residency and
     /// sharing attribution; returns the load-to-use latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `core` needs more than 16 bits (the packed owner field).
     pub fn access_line(&mut self, core: usize, line_addr: u64) -> u64 {
         if self.logging {
             self.log.push(L2LogEntry {
-                time: self.log_stamp,
-                core: u32::try_from(core).expect("fewer than 2^32 cores"),
+                key: owner_key(self.log_stamp, core),
                 line: line_addr,
             });
             return self.hit_latency;
         }
+        // A zero stamp: only a fold compares stamps, and it never moves
+        // the owner of a line resident before it began.
+        let key = owner_key(0, core);
         self.stats.accesses += 1;
         if let Some(slot) = self.lines.touch(line_addr) {
             self.stats.hits += 1;
-            if self.owners[slot as usize] != core {
+            if owner_core(self.owners[slot as usize]) != owner_core(key) {
                 self.stats.shared_hits += 1;
             }
             return self.hit_latency;
@@ -353,9 +396,9 @@ impl SharedL2 {
         }
         let slot = self.lines.insert(line_addr) as usize;
         if slot >= self.owners.len() {
-            self.owners.resize(slot + 1, core);
+            self.owners.resize(slot + 1, key);
         }
-        self.owners[slot] = core;
+        self.owners[slot] = key;
         if self.prefetched {
             // The data was preloaded (§VI-B): the first touch is a hit too.
             self.stats.hits += 1;
@@ -363,6 +406,54 @@ impl SharedL2 {
         } else {
             self.stats.misses += 1;
             self.miss_latency
+        }
+    }
+
+    /// Folds a chunk of log-sink entries into this prefetched L2, leaving
+    /// the statistics and ownership a time-ordered replay would leave,
+    /// whatever order the chunks (and the entries of different cores)
+    /// arrive in. Lines resident before the fold began — the first
+    /// `resident_before` slots, since a prefetched L2 never evicts — keep
+    /// their owner; every other access counts as shared.
+    ///
+    /// For a line new to this fold, the time-ordered owner is the core of
+    /// the minimum `(stamp, core)` key among its accesses, and its shared
+    /// hits are its accesses minus the owner's. Each core's entries arrive
+    /// in its own program order (nondecreasing stamps), so a core's first
+    /// arriving access to a line is its minimum key: when a smaller key
+    /// arrives, the displaced owner's accesses all become shared.
+    pub(crate) fn fold_log(&mut self, log: &[L2LogEntry], resident_before: usize) {
+        debug_assert!(self.prefetched, "only a prefetched L2 is order-free");
+        let n = log.len() as u64;
+        self.stats.accesses += n;
+        self.stats.hits += n;
+        for e in log {
+            let Some(slot) = self.lines.touch(e.line) else {
+                let slot = self.lines.insert(e.line) as usize;
+                if slot >= self.owners.len() {
+                    self.owners.resize(slot + 1, e.key);
+                }
+                if slot >= self.owner_hits.len() {
+                    self.owner_hits.resize(slot + 1, 1);
+                }
+                self.owners[slot] = e.key;
+                self.owner_hits[slot] = 1;
+                continue;
+            };
+            let (slot, owner) = (slot as usize, self.owners[slot as usize]);
+            if owner_core(owner) == owner_core(e.key) {
+                if slot >= resident_before {
+                    self.owner_hits[slot] = self.owner_hits[slot]
+                        .checked_add(1)
+                        .expect("fewer than 2^32 owner accesses per line and fold");
+                }
+            } else if slot >= resident_before && e.key < owner {
+                self.stats.shared_hits += u64::from(self.owner_hits[slot]);
+                self.owners[slot] = e.key;
+                self.owner_hits[slot] = 1;
+            } else {
+                self.stats.shared_hits += 1;
+            }
         }
     }
 }
@@ -720,27 +811,97 @@ mod tests {
             log,
             vec![
                 L2LogEntry {
-                    time: 5,
-                    core: 1,
+                    key: owner_key(5, 1),
                     line: 64
                 },
                 L2LogEntry {
-                    time: 9,
-                    core: 2,
+                    key: owner_key(9, 2),
                     line: 64
                 },
             ]
         );
         assert_eq!(sink.log_len(), 0, "take_log drains");
-        // Replaying the log on a real prefetched L2 reproduces the state
-        // evolution the sequential path would have seen.
+        // Folding the log, even in reverse, into a real prefetched L2
+        // reproduces the state the sequential path would have left.
         let mut real = SharedL2::new(4, 14, 100).with_prefetched(true);
-        for e in &log {
-            real.access_line(e.core as usize, e.line);
-        }
+        real.fold_log(&[log[1], log[0]], 0);
         let stats = real.stats();
         assert_eq!(stats.accesses, 2);
         assert_eq!(stats.shared_hits, 1, "core 2 reused core 1's line");
+        real.access_line(1, 64);
+        assert_eq!(real.stats().shared_hits, 1, "core 1 owns the line");
+    }
+
+    #[test]
+    fn fold_matches_the_time_ordered_replay_in_any_arrival_order() {
+        // Three cores with nondecreasing, colliding stamps over a small
+        // line set, on an L2 that already holds lines from an earlier run
+        // owned by the core with the latest clock. The reference replays
+        // every access in `(stamp, core)` order, as the sequential merge
+        // does; the fold sees per-core FIFO interleavings in random chunks.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rand = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let per_core: Vec<Vec<L2LogEntry>> = (0..3)
+            .map(|core| {
+                let mut stamp = 0;
+                (0..200)
+                    .map(|_| {
+                        stamp += rand(3);
+                        L2LogEntry {
+                            key: owner_key(stamp, core),
+                            line: rand(24) * LINE_BYTES,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let earlier = || {
+            let mut l2 = SharedL2::new(1, 14, 100).with_prefetched(true);
+            for line in 0..8 {
+                l2.access_line(2, line * LINE_BYTES);
+            }
+            l2
+        };
+        let mut reference = earlier();
+        let mut sorted: Vec<L2LogEntry> = per_core.concat();
+        sorted.sort_by_key(|e| e.key); // stable: per-core order kept
+        for e in &sorted {
+            reference.access_line(owner_core(e.key) as usize, e.line);
+        }
+        assert!(reference.stats().shared_hits > 0);
+        for trial in 0..8 {
+            let mut folded = earlier();
+            let before = folded.resident_lines();
+            let mut heads = [0usize; 3];
+            let mut chunk = Vec::new();
+            while heads.iter().zip(&per_core).any(|(&h, log)| h < log.len()) {
+                let core = rand(3) as usize;
+                if let Some(&e) = per_core[core].get(heads[core]) {
+                    heads[core] += 1;
+                    chunk.push(e);
+                }
+                if rand(16) == 0 {
+                    folded.fold_log(&std::mem::take(&mut chunk), before);
+                }
+            }
+            folded.fold_log(&chunk, before);
+            assert_eq!(folded.stats(), reference.stats(), "trial {trial}");
+            // Same owner for every line: a one-access probe from any core
+            // is shared on both or on neither.
+            for line in 0..24 {
+                for core in 0..3 {
+                    let (mut a, mut b) = (reference.clone(), folded.clone());
+                    a.access_line(core, line * LINE_BYTES);
+                    b.access_line(core, line * LINE_BYTES);
+                    assert_eq!(a.stats(), b.stats(), "trial {trial}, line {line}");
+                }
+            }
+        }
     }
 
     #[test]

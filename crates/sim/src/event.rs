@@ -114,23 +114,6 @@ impl<T: Ord> EventQueue<T> {
         self.now = time;
         Some((time, payload))
     }
-
-    /// Delivers *every* event coalesced at the earliest pending timestamp,
-    /// appending payloads to `out` in ascending payload order, and returns
-    /// that timestamp. `out` is not cleared — reuse a scratch buffer across
-    /// calls to keep the drain loop allocation-free once warm.
-    pub fn pop_coalesced_into(&mut self, out: &mut Vec<T>) -> Option<u64> {
-        let (time, _) = self.peek()?;
-        self.now = time;
-        while let Some((t, _)) = self.peek() {
-            if t != time {
-                break;
-            }
-            let Reverse((_, payload)) = self.heap.pop().expect("peeked");
-            out.push(payload);
-        }
-        Some(time)
-    }
 }
 
 #[cfg(test)]
@@ -162,22 +145,6 @@ mod tests {
         }
         let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn pop_coalesced_drains_exactly_one_timestamp() {
-        let mut q = EventQueue::new();
-        q.push(5, "b");
-        q.push(5, "a");
-        q.push(9, "c");
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_coalesced_into(&mut batch), Some(5));
-        assert_eq!(batch, vec!["a", "b"]);
-        assert_eq!(q.len(), 1, "the t=9 event is untouched");
-        batch.clear();
-        assert_eq!(q.pop_coalesced_into(&mut batch), Some(9));
-        assert_eq!(batch, vec!["c"]);
-        assert_eq!(q.pop_coalesced_into(&mut batch), None);
     }
 
     #[test]

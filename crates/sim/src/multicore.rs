@@ -76,13 +76,13 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::sync_channel;
+use std::sync::Mutex;
 
 use vegeta_engine::EngineConfig;
 use vegeta_isa::stream::InstStream;
 
-use crate::cache::{CacheStats, L2LogEntry, SharedL2, SharedL2Stats};
+use crate::cache::{CacheStats, L2LogEntry, SharedL2, SharedL2Stats, OWNER_CORE_BITS};
 use crate::core::{Core, CoreModel, SimConfig, SimResult, PROGRESS_STRIDE};
 use crate::event::EventQueue;
 
@@ -104,13 +104,14 @@ pub const DEFAULT_BARRIER_LATENCY: u64 = 32;
 /// fallback honest; invalid values are ignored rather than guessed at.
 pub const HOST_THREADS_ENV: &str = "VEGETA_HOST_THREADS";
 
-/// Entries per log chunk a parallel worker hands the merger: at 24 B per
-/// [`L2LogEntry`] a chunk is ~192 KB, and with the bounded channel depth a
-/// worker never holds more than a few chunks in flight — the same bounded-
-/// residency discipline `vegeta-isa`'s chunked streams apply to traces.
+/// Entries per log chunk a parallel worker hands the folding thread: at
+/// 16 B per [`L2LogEntry`] a chunk is 128 KB, and with the bounded channel
+/// depth only a few chunks per worker are ever in flight — the same
+/// bounded-residency discipline `vegeta-isa`'s chunked streams apply to
+/// traces.
 const L2_LOG_CHUNK: usize = 8192;
 
-/// Chunks a worker may have queued to the merger before its `send` blocks.
+/// Chunks per worker the shared channel holds before a `send` blocks.
 const L2_LOG_CHANNEL_DEPTH: usize = 2;
 
 /// How a multi-core run uses *host* threads (simulated-core timing is
@@ -391,8 +392,19 @@ impl MultiCoreSim<Core> {
 
 impl<C: CoreModel> MultiCoreSim<C> {
     /// A multi-core simulator over explicit core models (the pluggable
-    /// form; `cores.len()` overrides `cfg.cores`).
+    /// form; `cores.len()` overrides `cfg.cores`). Core `i` must identify
+    /// itself to the shared L2 as `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than 2^16 cores: the shared L2 packs core ids into
+    /// 16 bits of its ownership keys.
     pub fn with_cores(mut cfg: MultiCoreConfig, cores: Vec<C>) -> Self {
+        assert!(
+            cores.len() <= 1 << OWNER_CORE_BITS,
+            "{} cores exceed the shared L2's {OWNER_CORE_BITS}-bit core ids",
+            cores.len()
+        );
         cfg.cores = cores.len().max(1);
         let shared_l2 = SharedL2::new(cfg.l2_lines, cfg.core.l2_latency, cfg.mem_latency)
             .with_prefetched(cfg.prefetched);
@@ -423,21 +435,6 @@ impl<C: CoreModel> MultiCoreSim<C> {
         self.run_sharded_with(streams, None, SchedulerPolicy::Static, None)
     }
 
-    /// [`MultiCoreSim::run_streams`] with a progress callback, invoked
-    /// every [`PROGRESS_STRIDE`] instructions (summed across cores) and
-    /// once at completion with `(instructions simulated, exact total)` —
-    /// the same contract long single-core replays honour.
-    pub fn run_streams_with<S: InstStream + Send>(
-        &mut self,
-        streams: Vec<S>,
-        progress: Option<&mut dyn FnMut(u64, u64)>,
-    ) -> MultiCoreResult
-    where
-        C: Send,
-    {
-        self.run_sharded_with(streams, None, SchedulerPolicy::Static, progress)
-    }
-
     /// Runs a sharded workload to completion: `shards` are assigned to
     /// cores by `policy`, and the optional K-split `reduction` stream is
     /// replayed on core 0 after the barrier (every partial `C` image is
@@ -454,8 +451,9 @@ impl<C: CoreModel> MultiCoreSim<C> {
     /// When [`MultiCoreConfig::exec`] (or [`HOST_THREADS_ENV`]) resolves
     /// to more than one host thread *and* the run is interleave-
     /// independent (`prefetched` on, `work_stealing` off, more than one
-    /// core), the main phase executes host-parallel with a deterministic
-    /// shared-L2 log replay; the result is bit-identical either way.
+    /// core), the main phase executes host-parallel, folding the cores'
+    /// shared-L2 access logs into the real L2 in arrival order; the result
+    /// is bit-identical either way.
     ///
     /// # Panics
     ///
@@ -473,10 +471,12 @@ impl<C: CoreModel> MultiCoreSim<C> {
         self.run_sharded_with(shards, reduction, policy, None)
     }
 
-    /// [`MultiCoreSim::run_sharded`] with a progress callback (the
-    /// [`MultiCoreSim::run_streams_with`] contract; reduction ops count
-    /// toward the total). The callback observes the same `(done, total)`
-    /// sequence in every [`ExecMode`].
+    /// [`MultiCoreSim::run_sharded`] with a progress callback, invoked
+    /// every [`PROGRESS_STRIDE`] instructions (summed across cores,
+    /// reduction ops included) and once at completion with
+    /// `(instructions simulated, exact total)` — the same contract long
+    /// single-core replays honour. The callback observes the same
+    /// `(done, total)` sequence in every [`ExecMode`].
     pub fn run_sharded_with<S: InstStream + Send>(
         &mut self,
         shards: Vec<S>,
@@ -498,7 +498,7 @@ impl<C: CoreModel> MultiCoreSim<C> {
             && !self.cfg.work_stealing
             && self.cores.len() > 1
         {
-            self.run_parallel(shards, queues, reduction, progress, host_threads)
+            self.run_folded(shards, queues, reduction, progress, host_threads)
         } else {
             self.run_assigned(shards, queues, reduction, progress, MergeLoop::EventDriven)
         }
@@ -538,8 +538,8 @@ impl<C: CoreModel> MultiCoreSim<C> {
         let total: u64 = shards.iter().map(InstStream::remaining).sum::<u64>()
             + reduction.as_ref().map_or(0, InstStream::remaining);
         let mut done = 0u64;
-        // Shards each core has fully executed (for residency attribution).
-        let mut ran: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // Summed peak residency of the shards each core has finished.
+        let mut peaks = vec![0u64; n];
         let mut current: Vec<Option<usize>> = queues.iter_mut().map(VecDeque::pop_front).collect();
         if self.cfg.work_stealing {
             for c in current.iter_mut().filter(|c| c.is_none()) {
@@ -571,7 +571,7 @@ impl<C: CoreModel> MultiCoreSim<C> {
                             wake.push(self.cores[i].cycles(), i);
                         }
                         None => {
-                            ran[i].push(s);
+                            peaks[i] += shards[s].peak_resident_bytes() as u64;
                             current[i] = queues[i].pop_front().or_else(|| {
                                 if self.cfg.work_stealing {
                                     steal_largest(&shards, &mut queues)
@@ -606,7 +606,7 @@ impl<C: CoreModel> MultiCoreSim<C> {
                             }
                         }
                         None => {
-                            ran[i].push(s);
+                            peaks[i] += shards[s].peak_resident_bytes() as u64;
                             current[i] = queues[i].pop_front().or_else(|| {
                                 if self.cfg.work_stealing {
                                     steal_largest(&shards, &mut queues)
@@ -619,88 +619,31 @@ impl<C: CoreModel> MultiCoreSim<C> {
                 }
             }
         }
-
-        // Main phase done: record per-core retire times, then replay the
-        // K-split reduction on core 0 (conceptually after the barrier).
-        let main_cycles: Vec<u64> = self.cores.iter().map(CoreModel::cycles).collect();
-        let slowest = main_cycles.iter().copied().max().unwrap_or(0);
-        let mut reduction_cycles = 0;
-        let mut reduction_peak = 0u64;
-        if let Some(mut red) = reduction {
-            let before = self.cores[0].cycles();
-            while let Some(op) = red.next_op() {
-                self.cores[0].step(op, Some(&mut self.shared_l2));
-                done += 1;
-                if done.is_multiple_of(PROGRESS_STRIDE) {
-                    if let Some(cb) = progress.as_deref_mut() {
-                        cb(done, total);
-                    }
-                }
-            }
-            reduction_cycles = self.cores[0].cycles() - before;
-            reduction_peak = red.peak_resident_bytes() as u64;
-        }
-        // Completion report — unless the stride loop already delivered it.
-        if done == 0 || !done.is_multiple_of(PROGRESS_STRIDE) {
-            if let Some(cb) = progress {
-                cb(done, total);
-            }
-        }
-
-        let per_core: Vec<SimResult> = self
-            .cores
-            .iter()
-            .enumerate()
-            .map(|(i, core)| {
-                let mut peak: u64 = ran[i]
-                    .iter()
-                    .map(|&s| shards[s].peak_resident_bytes() as u64)
-                    .sum();
-                if i == 0 {
-                    peak += reduction_peak;
-                }
-                core.result(peak)
-            })
-            .collect();
-        let barrier_cycles = self.cfg.barrier_cycles();
-        MultiCoreResult {
-            cores: n,
-            core_cycles: slowest + barrier_cycles + reduction_cycles,
-            barrier_cycles,
-            reduction_cycles,
-            per_core,
-            shared_l2: self.shared_l2.stats(),
-        }
+        self.finish(done, total, peaks, reduction, progress)
     }
 
-    /// The host-parallel main phase: contiguous chunks of cores simulate
-    /// on scoped worker threads against private log-sink L2s
-    /// ([`SharedL2::log_sink`]), while this thread replays the streaming
-    /// k-way merge of their access logs on the real [`SharedL2`] in exact
-    /// global `(time, core)` order — reproducing the sequential event
-    /// merge's `SharedL2Stats`, and with them the whole
-    /// [`MultiCoreResult`], bit for bit.
+    /// The host-parallel main phase: scoped workers simulate whole cores
+    /// against private log-sink L2s ([`SharedL2::log_sink`]), while this
+    /// thread folds their access logs into the real [`SharedL2`]
+    /// ([`SharedL2::fold_log`]) in whatever order they arrive —
+    /// reproducing the sequential event merge's `SharedL2Stats`, and with
+    /// them the whole [`MultiCoreResult`], bit for bit.
     ///
     /// *Soundness.* Under the prefetch assumption every shared-L2 lookup
     /// returns the same flat latency, so no core's timeline depends on any
-    /// other core's accesses; the interleave only decides first-toucher
-    /// attribution, which the ordered replay reconstructs. Each worker
-    /// runs the same `(time, index)` event merge as the sequential loop
-    /// restricted to its contiguous core chunk, so its log is sorted by
-    /// `(time, core)`; the sequential loop advances simultaneous cores in
-    /// ascending index order, so merging streams by `(head time, worker
-    /// index)` — workers own ascending index ranges — reproduces the exact
-    /// global access sequence.
-    ///
-    /// *Liveness.* Workers stream bounded chunks over bounded channels.
-    /// The merger only blocks receiving from a stream whose buffered
-    /// entries are exhausted, and that stream's worker either has channel
-    /// capacity to run ahead or chunks already queued — it always
-    /// eventually sends or closes, so no cycle of waits exists.
-    fn run_parallel<S: InstStream + Send>(
+    /// other core's accesses, and a core can run its queue back to back.
+    /// The interleave only decides first-toucher attribution: the
+    /// sequential merge delivers accesses in `(clock before the step,
+    /// core)` order, so a line's owner is the core of its minimum such
+    /// key. Each access is logged with that key, and the fold needs only
+    /// each core's own accesses in program order: a core runs entirely on
+    /// one worker, whose chunks the channel delivers in send order. This
+    /// relies on core `i` handing the shared L2 the id `i`, as
+    /// [`MultiCoreSim::new`]'s cores do.
+    fn run_folded<S: InstStream + Send>(
         &mut self,
         shards: Vec<S>,
-        mut queues: Vec<VecDeque<usize>>,
+        queues: Vec<VecDeque<usize>>,
         reduction: Option<S>,
         mut progress: Option<&mut dyn FnMut(u64, u64)>,
         host_threads: usize,
@@ -712,108 +655,104 @@ impl<C: CoreModel> MultiCoreSim<C> {
         let total: u64 = shards.iter().map(InstStream::remaining).sum::<u64>()
             + reduction.as_ref().map_or(0, InstStream::remaining);
         let hit_latency = self.cfg.core.l2_latency;
-        let t = host_threads.min(n).max(1);
-        // Worker w owns the contiguous core range starts[w]..starts[w+1].
-        let (base, rem) = (n / t, n % t);
-        let mut starts = vec![0usize; t + 1];
-        for w in 0..t {
-            starts[w + 1] = starts[w] + base + usize::from(w < rem);
-        }
-
-        // Move each worker's assigned streams out of the shared vector
-        // (assignment is static — stealing is off), remapping its queues
-        // to worker-local stream indices.
+        // Move each core's queued streams out of the shared vector
+        // (assignment is static: stealing is off).
         let mut slots: Vec<Option<S>> = shards.into_iter().map(Some).collect();
-        let mut seeds: Vec<WorkerSeed<S>> = Vec::with_capacity(t);
-        let mut receivers: Vec<Receiver<Vec<L2LogEntry>>> = Vec::with_capacity(t);
-        let mut worker_globals: Vec<Vec<usize>> = Vec::with_capacity(t);
-        for w in 0..t {
-            let mut local_queues: Vec<VecDeque<usize>> = queues[starts[w]..starts[w + 1]]
-                .iter_mut()
-                .map(std::mem::take)
-                .collect();
-            let mut streams = Vec::new();
-            let mut globals = Vec::new();
-            for q in &mut local_queues {
-                for s in q.iter_mut() {
-                    globals.push(*s);
-                    streams.push(slots[*s].take().expect("each shard is queued exactly once"));
-                    *s = streams.len() - 1;
-                }
-            }
-            let (tx, rx) = sync_channel(L2_LOG_CHANNEL_DEPTH);
-            seeds.push(WorkerSeed {
-                queues: local_queues,
-                streams,
-                hit_latency,
-                tx,
-            });
-            receivers.push(rx);
-            worker_globals.push(globals);
-        }
-
-        let done_ctr = AtomicU64::new(0);
-        let mut reported = 0u64;
-        let cores = &mut self.cores;
+        let per_core: Vec<Vec<S>> = queues
+            .iter()
+            .map(|q| {
+                q.iter()
+                    .map(|&s| slots[s].take().expect("each shard is queued exactly once"))
+                    .collect()
+            })
+            .collect();
+        // Workers pull whole cores off one shared job list.
+        let jobs = Mutex::new(self.cores.iter_mut().zip(per_core).enumerate());
+        let resident_before = self.shared_l2.resident_lines();
         let shared_l2 = &mut self.shared_l2;
-        let returned: Vec<(Vec<Vec<usize>>, Vec<S>)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(t);
-            let mut rest: &mut [C] = cores.as_mut_slice();
-            for (w, seed) in seeds.into_iter().enumerate() {
-                let head = std::mem::take(&mut rest);
-                let (chunk, tail) = head.split_at_mut(starts[w + 1] - starts[w]);
-                rest = tail;
-                let done = &done_ctr;
-                handles.push(scope.spawn(move || run_core_chunk(chunk, seed, done)));
-            }
-            // Replay the merged access log on the real L2 while the
-            // workers run, surfacing progress at the sequential stride
-            // points (same `(done, total)` values, same order).
-            let mut merge = LogMerge::new(receivers);
-            while let Some(e) = merge.next_entry() {
-                shared_l2.access_line(e.core as usize, e.line);
-                let done_now = done_ctr.load(Ordering::Relaxed);
-                while reported + PROGRESS_STRIDE <= done_now {
-                    reported += PROGRESS_STRIDE;
-                    if let Some(cb) = progress.as_deref_mut() {
-                        cb(reported, total);
+        let (tx, rx) = sync_channel::<(u64, Vec<L2LogEntry>)>(L2_LOG_CHANNEL_DEPTH * host_threads);
+        let mut done = 0u64;
+        let mut peaks = vec![0u64; n];
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..host_threads)
+                .map(|_| {
+                    let (jobs, tx) = (&jobs, tx.clone());
+                    scope.spawn(move || {
+                        let mut l2 = SharedL2::log_sink(hit_latency);
+                        let mut ops = 0u64;
+                        let mut finished = Vec::new();
+                        loop {
+                            let job = jobs
+                                .lock()
+                                .expect("no worker panics holding the job list")
+                                .next();
+                            let Some((i, (core, streams))) = job else {
+                                break;
+                            };
+                            let mut peak = 0u64;
+                            for mut stream in streams {
+                                while let Some(op) = stream.next_op() {
+                                    l2.set_log_stamp(core.cycles());
+                                    core.step(op, Some(&mut l2));
+                                    ops += 1;
+                                    if l2.log_len() >= L2_LOG_CHUNK
+                                        && tx
+                                            .send((std::mem::take(&mut ops), l2.take_log()))
+                                            .is_err()
+                                    {
+                                        // The folder is gone (main-thread
+                                        // unwind): stop rather than
+                                        // simulate into the void.
+                                        return finished;
+                                    }
+                                }
+                                peak += stream.peak_resident_bytes() as u64;
+                            }
+                            finished.push((i, peak));
+                        }
+                        let _ = tx.send((ops, l2.take_log()));
+                        finished
+                    })
+                })
+                .collect();
+            drop(tx);
+            // Fold every chunk as it arrives, surfacing progress at the
+            // sequential stride points (same `(done, total)` values, same
+            // order).
+            for (ops, log) in rx {
+                shared_l2.fold_log(&log, resident_before);
+                let before = done;
+                done += ops;
+                if let Some(cb) = progress.as_deref_mut() {
+                    for k in before / PROGRESS_STRIDE + 1..=done / PROGRESS_STRIDE {
+                        cb(k * PROGRESS_STRIDE, total);
                     }
                 }
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulation worker panicked"))
-                .collect()
+            for h in handles {
+                for (i, peak) in h.join().expect("simulation worker panicked") {
+                    peaks[i] = peak;
+                }
+            }
         });
+        self.finish(done, total, peaks, reduction, progress)
+    }
 
-        // Re-home the consumed streams so residency attribution can read
-        // their high-water marks, translating worker-local shard ids back
-        // to global ones.
-        let mut ran: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (w, (local_ran, streams)) in returned.into_iter().enumerate() {
-            for (local_core, list) in local_ran.into_iter().enumerate() {
-                ran[starts[w] + local_core] =
-                    list.into_iter().map(|ls| worker_globals[w][ls]).collect();
-            }
-            for (ls, s) in streams.into_iter().enumerate() {
-                slots[worker_globals[w][ls]] = Some(s);
-            }
-        }
-
-        // Flush stride reports the merge loop had not caught up to (the
-        // counter keeps advancing behind the replay), then run the
-        // post-barrier tail exactly as the sequential path does.
-        let mut done = done_ctr.load(Ordering::Relaxed);
-        while reported + PROGRESS_STRIDE <= done {
-            reported += PROGRESS_STRIDE;
-            if let Some(cb) = progress.as_deref_mut() {
-                cb(reported, total);
-            }
-        }
-        let main_cycles: Vec<u64> = self.cores.iter().map(CoreModel::cycles).collect();
-        let slowest = main_cycles.iter().copied().max().unwrap_or(0);
+    /// The post-barrier tail every path shares: replays the K-split
+    /// reduction on core 0 (every partial `C` image is globally visible by
+    /// then), fires the completion report unless the stride loop already
+    /// delivered it, and assembles the result. `done` counts the main
+    /// phase's instructions and `peaks` its per-core residency.
+    fn finish<S: InstStream>(
+        &mut self,
+        mut done: u64,
+        total: u64,
+        mut peaks: Vec<u64>,
+        reduction: Option<S>,
+        mut progress: Option<&mut dyn FnMut(u64, u64)>,
+    ) -> MultiCoreResult {
+        let slowest = self.cores.iter().map(CoreModel::cycles).max().unwrap_or(0);
         let mut reduction_cycles = 0;
-        let mut reduction_peak = 0u64;
         if let Some(mut red) = reduction {
             let before = self.cores[0].cycles();
             while let Some(op) = red.next_op() {
@@ -826,193 +765,28 @@ impl<C: CoreModel> MultiCoreSim<C> {
                 }
             }
             reduction_cycles = self.cores[0].cycles() - before;
-            reduction_peak = red.peak_resident_bytes() as u64;
+            peaks[0] += red.peak_resident_bytes() as u64;
         }
         if done == 0 || !done.is_multiple_of(PROGRESS_STRIDE) {
             if let Some(cb) = progress {
                 cb(done, total);
             }
         }
-
         let per_core: Vec<SimResult> = self
             .cores
             .iter()
-            .enumerate()
-            .map(|(i, core)| {
-                let mut peak: u64 = ran[i]
-                    .iter()
-                    .map(|&s| {
-                        slots[s]
-                            .as_ref()
-                            .expect("streams were re-homed after the join")
-                            .peak_resident_bytes() as u64
-                    })
-                    .sum();
-                if i == 0 {
-                    peak += reduction_peak;
-                }
-                core.result(peak)
-            })
+            .zip(peaks)
+            .map(|(core, peak)| core.result(peak))
             .collect();
         let barrier_cycles = self.cfg.barrier_cycles();
         MultiCoreResult {
-            cores: n,
+            cores: self.cores.len(),
             core_cycles: slowest + barrier_cycles + reduction_cycles,
             barrier_cycles,
             reduction_cycles,
             per_core,
             shared_l2: self.shared_l2.stats(),
         }
-    }
-}
-
-/// Everything a parallel worker needs to simulate its contiguous core
-/// chunk: the chunk's shard queues (holding worker-local stream indices),
-/// the streams themselves, the flat L2 hit latency for the log sink, and
-/// the channel its log chunks flow back on.
-struct WorkerSeed<S> {
-    queues: Vec<VecDeque<usize>>,
-    streams: Vec<S>,
-    hit_latency: u64,
-    tx: SyncSender<Vec<L2LogEntry>>,
-}
-
-/// One worker's slice of the host-parallel main phase: the same
-/// local-time event merge as the sequential loop restricted to `cores`
-/// (a contiguous chunk, so `(time, local index)` order *is* `(time,
-/// global index)` order), stepping against a log-sink L2 and streaming
-/// bounded log chunks to the merger. Returns the per-core lists of
-/// finished worker-local shard ids plus the consumed streams (for
-/// residency attribution).
-fn run_core_chunk<C: CoreModel, S: InstStream>(
-    cores: &mut [C],
-    seed: WorkerSeed<S>,
-    done: &AtomicU64,
-) -> (Vec<Vec<usize>>, Vec<S>) {
-    let WorkerSeed {
-        mut queues,
-        mut streams,
-        hit_latency,
-        tx,
-    } = seed;
-    let n = cores.len();
-    let mut l2 = SharedL2::log_sink(hit_latency);
-    let mut ran: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut current: Vec<Option<usize>> = queues.iter_mut().map(VecDeque::pop_front).collect();
-    let mut wake: EventQueue<usize> = EventQueue::with_capacity(n);
-    for (i, c) in current.iter().enumerate() {
-        if c.is_some() {
-            wake.push(cores[i].cycles(), i);
-        }
-    }
-    while let Some((now, i)) = wake.pop() {
-        let s = current[i].expect("only live cores are queued");
-        match streams[s].next_op() {
-            Some(op) => {
-                // Accesses this step makes are stamped with the wake time
-                // (the core's clock before the step), exactly when the
-                // sequential merge would have delivered them.
-                l2.set_log_stamp(now);
-                cores[i].step(op, Some(&mut l2));
-                done.fetch_add(1, Ordering::Relaxed);
-                if l2.log_len() >= L2_LOG_CHUNK && tx.send(l2.take_log()).is_err() {
-                    // The merger is gone (main-thread unwind); stop early
-                    // rather than simulate into the void.
-                    return (ran, streams);
-                }
-                wake.push(cores[i].cycles(), i);
-            }
-            None => {
-                ran[i].push(s);
-                current[i] = queues[i].pop_front();
-                if current[i].is_some() {
-                    // Same clock: the core continues its next queued
-                    // shard with no idle gap.
-                    wake.push(cores[i].cycles(), i);
-                }
-            }
-        }
-    }
-    if l2.log_len() > 0 {
-        let _ = tx.send(l2.take_log());
-    }
-    (ran, streams)
-}
-
-/// A streaming k-way merge over per-worker shared-L2 log streams. Each
-/// stream arrives as bounded chunks over a channel and is sorted by
-/// `(time, core)`; streams own disjoint ascending core ranges, so taking
-/// the head with the minimum `(time, worker index)` key reproduces the
-/// exact global `(time, core)` access order (equal keys only occur within
-/// one stream and stay in stream order).
-struct LogMerge {
-    streams: Vec<LogStream>,
-}
-
-struct LogStream {
-    rx: Receiver<Vec<L2LogEntry>>,
-    chunk: Vec<L2LogEntry>,
-    pos: usize,
-    open: bool,
-}
-
-impl LogStream {
-    /// The stream's next entry, blocking for the next chunk when the
-    /// buffered one is exhausted; `None` once the worker has closed its
-    /// channel and every chunk is drained.
-    fn head(&mut self) -> Option<L2LogEntry> {
-        loop {
-            if let Some(e) = self.chunk.get(self.pos) {
-                return Some(*e);
-            }
-            if !self.open {
-                return None;
-            }
-            match self.rx.recv() {
-                Ok(chunk) => {
-                    self.chunk = chunk;
-                    self.pos = 0;
-                }
-                Err(_) => {
-                    self.open = false;
-                    return None;
-                }
-            }
-        }
-    }
-}
-
-impl LogMerge {
-    fn new(receivers: Vec<Receiver<Vec<L2LogEntry>>>) -> Self {
-        LogMerge {
-            streams: receivers
-                .into_iter()
-                .map(|rx| LogStream {
-                    rx,
-                    chunk: Vec::new(),
-                    pos: 0,
-                    open: true,
-                })
-                .collect(),
-        }
-    }
-
-    /// Removes and returns the globally next entry in `(time, core)`
-    /// order, or `None` when every stream is closed and drained.
-    fn next_entry(&mut self) -> Option<L2LogEntry> {
-        let mut best: Option<(u64, usize)> = None;
-        for (w, stream) in self.streams.iter_mut().enumerate() {
-            if let Some(e) = stream.head() {
-                if best.is_none_or(|(bt, _)| e.time < bt) {
-                    best = Some((e.time, w));
-                }
-            }
-        }
-        let (_, w) = best?;
-        let s = &mut self.streams[w];
-        let e = s.chunk[s.pos];
-        s.pos += 1;
-        Some(e)
     }
 }
 
@@ -1519,7 +1293,7 @@ mod tests {
     fn parallel_host_reproduces_shared_attribution_and_idle_cores() {
         // Identical streams: every touch after the first core's is a
         // shared hit, and first-toucher attribution is exactly what the
-        // ordered log replay must reconstruct. Cores 3/4 stay idle.
+        // fold must reconstruct. Cores 3/4 stay idle.
         let t = mixed_trace(64, 64);
         let streams = || vec![t.stream(), t.stream(), t.stream()];
         let seq = MultiCoreSim::new(

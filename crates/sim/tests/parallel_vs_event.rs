@@ -1,11 +1,13 @@
 //! Differential pin for the host-parallel execution mode: running any
-//! shard set with [`ExecMode::ParallelHost`] — per-core-chunk worker
-//! threads, log-sink L2s, and the streaming `(time, core)` log replay on
-//! the real shared L2 — must produce a [`MultiCoreResult`] identical
-//! **down to the last field** to the sequential event merge
-//! ([`ExecMode::Sequential`]): makespan, barrier and reduction cycles,
-//! every per-core `SimResult` (cycles, cache stats, peak resident bytes),
-//! and the shared-L2 counters including first-toucher `shared_hits`.
+//! shard set with [`ExecMode::ParallelHost`] — worker threads simulating
+//! whole cores against log-sink L2s, and the order-independent
+//! first-touch fold of their logs into the real shared L2 — must produce
+//! a [`MultiCoreResult`] identical **down to the last field** to the
+//! sequential event merge ([`ExecMode::Sequential`]): makespan, barrier
+//! and reduction cycles, every per-core `SimResult` (cycles, cache stats,
+//! peak resident bytes), and the shared-L2 counters including
+//! first-toucher `shared_hits` — on a fresh simulator and on a second run
+//! of the same one, whose L2 already holds owned lines.
 //!
 //! The sweep deliberately includes the fallback envelope: with
 //! `prefetched` off or `work_stealing` on the parallel mode must silently
@@ -15,6 +17,7 @@
 
 use proptest::prelude::*;
 use vegeta_engine::EngineConfig;
+use vegeta_isa::trace::{Trace, TraceOp};
 use vegeta_kernels::{GemmShape, KernelOptions, KernelSpec, SparseMode};
 use vegeta_sim::{ExecMode, MultiCoreConfig, MultiCoreSim, SchedulerPolicy, SimConfig};
 use vegeta_sparse::NmRatio;
@@ -217,4 +220,59 @@ fn parallel_host_agrees_across_engine_classes() {
             }
         }
     }
+}
+
+/// A trace of one-line vector loads, `count` lines from `base`.
+fn loads(trace: &mut Trace, base: u64, count: u64) {
+    for i in 0..count {
+        trace.push(TraceOp::VecLoad {
+            dst: (i % 16) as u8,
+            addr: base + i * 64,
+        });
+    }
+}
+
+/// A second run on the same simulator starts with the first run's lines
+/// resident and owned, and with the cores' clocks where they stopped.
+/// Run 1 leaves core 1 far ahead in time owning 32 lines it then evicts
+/// from its own 768-line L1; in run 2 the early-clocked core 0 loads them
+/// too. The sequential merge keeps core 1 as their owner, so the parallel
+/// path must not hand them to core 0's smaller stamps.
+#[test]
+fn parallel_host_matches_sequential_across_runs_on_one_simulator() {
+    let shared = 1u64 << 20;
+    let mut core0 = Trace::new();
+    loads(&mut core0, 0, 4);
+    let mut core1 = Trace::new();
+    for i in 0..4000u32 {
+        core1.push(TraceOp::Scalar {
+            dst: (i % 8) as u8,
+            src: 0,
+        });
+    }
+    loads(&mut core1, shared, 32);
+    loads(&mut core1, 1 << 24, 2048);
+    let mut again = Trace::new();
+    loads(&mut again, shared, 32);
+
+    let runs = |exec: ExecMode| {
+        let mut sim = MultiCoreSim::new(
+            MultiCoreConfig::new(2).with_exec(exec),
+            EngineConfig::rasa_dm(),
+        );
+        let first = sim.run_sharded(
+            vec![core0.stream(), core1.stream()],
+            None,
+            SchedulerPolicy::Static,
+        );
+        let second = sim.run_sharded(
+            vec![again.stream(), again.stream()],
+            None,
+            SchedulerPolicy::Static,
+        );
+        (first, second)
+    };
+    let sequential = runs(ExecMode::Sequential);
+    assert!(sequential.1.shared_l2.shared_hits > sequential.0.shared_l2.shared_hits);
+    assert_eq!(runs(ExecMode::ParallelHost(2)), sequential);
 }
